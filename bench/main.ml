@@ -469,12 +469,14 @@ let system_tests =
              (Gnrflash_device.Electrostatics.solve stack ~vgs:15. ~vs:0.
                 ~sigma_fg:(-0.01))));
     Test.make ~name:"system-mlc-program-4-levels"
-      (stage (fun () ->
-           for level = 1 to 3 do
-             ignore
-               (Gnrflash_memory.Mlc.program_level Gnrflash_device.Fgt.paper_default
-                  ~qfg0:0. ~level)
-           done));
+      (stage
+         (let oracle =
+            Gnrflash_device.Program_erase.oracle Gnrflash_device.Fgt.paper_default
+          in
+          fun () ->
+            for level = 1 to 3 do
+              ignore (Gnrflash_memory.Mlc.program_level oracle ~qfg0:0. ~level)
+            done));
     Test.make ~name:"system-ecc-encode-decode-64"
       (stage
          (let data = Array.init 64 (fun i -> i land 1) in
@@ -627,30 +629,32 @@ let perf_rows snap =
     };
   ]
 
-(* Flag plumbing probe, run while telemetry is still on: a short warm pulse
-   train and a cached Tsu-Esaki call under perf/flags_on (counters must
-   fire), then the same work with ~warm_start:false / ~wkb_cache:false
-   under perf/flags_off (the same counters must stay silent). The span
-   prefix keys the two runs apart in the snapshot. *)
+(* Flag plumbing probe, run while telemetry is still on: a short pulse
+   train through one oracle and a cached Tsu-Esaki call under
+   perf/flags_on (counters must fire), then the same train with a fresh
+   oracle per cycle and ~wkb_cache:false under perf/flags_off (the same
+   counters must stay silent). The span prefix keys the two runs apart in
+   the snapshot. *)
 let perf_probe () =
   let phi_b = 3.2 *. Gnrflash_physics.Constants.ev in
   let m_b = 0.42 *. Gnrflash_physics.Constants.m0 in
   let ef = 0.1 *. Gnrflash_physics.Constants.ev in
   let train ~warm_start =
-    (* a fresh device record per train (with_gcr rebuilds the record at the
-       paper's own GCR): the warm cache is keyed by physical identity, so
-       this guarantees a cold, deterministic start regardless of which pulse
-       workloads ran earlier in the bench *)
     let t = Gnrflash_device.Fgt.(with_gcr paper_default 0.6) in
     let pp = { Gnrflash_device.Program_erase.vgs = 15.; duration = 100e-6 } in
     let ep = { Gnrflash_device.Program_erase.vgs = -15.; duration = 100e-6 } in
     let q = ref 0. in
     (* surrogate off: it outranks the replay cache, so with it on the warm
        counters this probe asserts on would never fire *)
+    let train_oracle = Gnrflash_device.Program_erase.oracle ~surrogate:false t in
     for _ = 1 to 6 do
+      let oracle =
+        if warm_start then train_oracle
+        else Gnrflash_device.Program_erase.oracle ~surrogate:false t
+      in
       match
-        Gnrflash_device.Program_erase.cycle ~warm_start ~surrogate:false
-          ~program_pulse:pp ~erase_pulse:ep t ~qfg:!q
+        Gnrflash_device.Program_erase.cycle ~program_pulse:pp ~erase_pulse:ep
+          oracle ~qfg:!q
       with
       | Ok (_, e) -> q := e.Gnrflash_device.Program_erase.qfg_after
       | Error _ -> ()
@@ -672,29 +676,42 @@ let perf_probe () =
 module Ps = Gnrflash_device.Pulse_surrogate
 module Dpe = Gnrflash_device.Program_erase
 
+(* Two consults per bias promote its table, so the next pulse at that bias
+   builds it: a probe's first pulse is then table-served. *)
+let prewarm oracle ~vgs ~duration =
+  match Dpe.tables oracle with
+  | None -> ()
+  | Some c ->
+    for _ = 1 to 2 do
+      ignore (Ps.pulse_response c ~vgs ~duration ~qfg:0.)
+    done
+
 (* Counter probe, telemetry on (mirrors perf_probe): a short cycle train
    with the surrogate on must build tables and serve hits, an out-of-box
-   pulse must fall back; the same train with the flag off must leave every
-   surrogate counter silent. build_after is forced to 0 so the first pulse
-   of the train promotes immediately. *)
+   pulse (its own span) must fall back and never hit; the same train with
+   the flag off must leave every surrogate counter silent. Each oracle is
+   pre-warmed so its first pulse at a bias would build the table. *)
 let surrogate_probe () =
   let train ~surrogate =
     let t = Gnrflash_device.Fgt.(with_gcr paper_default 0.6) in
+    let oracle = Dpe.oracle ~surrogate t in
     let pp = { Dpe.vgs = 15.; duration = 100e-6 } in
     let ep = { Dpe.vgs = -15.; duration = 100e-6 } in
+    prewarm oracle ~vgs:15. ~duration:100e-6;
+    prewarm oracle ~vgs:(-15.) ~duration:100e-6;
     let q = ref 0. in
     for _ = 1 to 4 do
-      match Dpe.cycle ~surrogate ~program_pulse:pp ~erase_pulse:ep t ~qfg:!q with
+      match Dpe.cycle ~program_pulse:pp ~erase_pulse:ep oracle ~qfg:!q with
       | Ok (_, e) -> q := e.Dpe.qfg_after
       | Error _ -> ()
     done;
-    ignore
-      (Dpe.apply_pulse ~surrogate ~warm_start:false t ~qfg:0.
-         { Dpe.vgs = 18.; duration = 100e-6 })
+    (* pre-warmed like the train, so a box gate that wrongly let 18 V in
+       would build and serve a table on this pulse *)
+    let oob = Dpe.oracle ~surrogate t in
+    prewarm oob ~vgs:18. ~duration:100e-6;
+    Tel.span "perf/surrogate_oob" (fun () ->
+        ignore (Dpe.apply_pulse oob ~qfg:0. { Dpe.vgs = 18.; duration = 100e-6 }))
   in
-  let prev = Ps.build_after () in
-  Ps.set_build_after 0;
-  Fun.protect ~finally:(fun () -> Ps.set_build_after prev) @@ fun () ->
   Tel.span "perf/surrogate_on" (fun () -> train ~surrogate:true);
   Tel.span "perf/surrogate_off" (fun () -> train ~surrogate:false)
 
@@ -730,8 +747,10 @@ let surrogate_report snap =
       0 snap.Tel.counters
   in
   let on s = under "perf/surrogate_on/" s and off s = under "perf/surrogate_off/" s in
+  let oob s = under "perf/surrogate_on/perf/surrogate_oob/" s in
   let sur_flags_on_ok =
-    on "surrogate/build" > 0 && on "surrogate/hit" > 0 && on "surrogate/fallback" > 0
+    on "surrogate/build" > 0 && on "surrogate/hit" > 0
+    && oob "surrogate/fallback" > 0 && oob "surrogate/hit" = 0
   in
   let sur_flags_off_ok =
     off "surrogate/build" = 0 && off "surrogate/hit" = 0
@@ -780,17 +799,16 @@ let surrogate_report snap =
     ignore (Gnrflash_device.Transient.run ~qfg0:qfg t ~vgs:15. ~duration:100e-6)
   done;
   let sur_exact_s = (Unix.gettimeofday () -. t0) /. float_of_int n_exact in
-  let prev = Ps.build_after () in
-  Ps.set_build_after 0;
   let sur_pulse_s =
-    Fun.protect ~finally:(fun () -> Ps.set_build_after prev) @@ fun () ->
+    let oracle = Dpe.oracle t in
     let pulse = { Dpe.vgs = 15.; duration = 100e-6 } in
-    ignore (Dpe.apply_pulse t ~qfg:0. pulse) (* warm the domain cache *);
+    prewarm oracle ~vgs:15. ~duration:100e-6;
+    ignore (Dpe.apply_pulse oracle ~qfg:0. pulse) (* builds the table *);
     let n = 20_000 in
     let t0 = Unix.gettimeofday () in
     for i = 0 to n - 1 do
       let qfg = lo +. (float_of_int (i mod 997) /. 997. *. (hi -. lo)) in
-      ignore (Dpe.apply_pulse t ~qfg pulse)
+      ignore (Dpe.apply_pulse oracle ~qfg pulse)
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int n
   in
@@ -897,8 +915,8 @@ let svc_ops_per_s_floor = 115_800.
    [Gc.minor_words] delta per host command on a single serial instance
    (the pool tier runs in other domains, invisible to the probe). The
    SoA store runs the memoized program/erase replays allocation-free —
-   including settled out-of-box outcomes (see Cell_store /
-   Pulse_surrogate.response_static); the residual is workload generation,
+   including settled exact outcomes (see Cell_store /
+   Pulse_surrogate.settled); the residual is workload generation,
    the first-occurrence solves and the mirror-path bookkeeping — see
    DESIGN.md "Cell store". Measured ~620 words/op at ISSUE 10; the budget
    leaves ~30% headroom. *)

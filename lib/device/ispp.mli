@@ -29,12 +29,14 @@ type result = {
 }
 
 val run :
-  ?config:config -> ?surrogate:bool ->
-  Fgt.t -> qfg0:float -> (result, string) Stdlib.result
-(** Run the program-and-verify loop from the given initial charge.
-    [surrogate] is passed through to {!Program_erase.apply_pulse}; steps
-    whose bias climbs past the operating box (the default config tops out
-    at 20 V) fall back to the exact solver automatically. *)
+  ?config:config ->
+  Program_erase.oracle -> qfg0:float -> (result, string) Stdlib.result
+(** Run the program-and-verify loop from the given initial charge, every
+    pulse through the caller's oracle. Each step has its own bias, so
+    surrogate tables pay off only when one oracle runs many loops (an MLC
+    page, a controller block); steps whose bias climbs past the operating
+    box (the default config tops out at 20 V) fall back to the exact
+    solver automatically. *)
 
 val dvt_per_pulse_tail : result -> float list
 (** ΔVT increments of the staircase after the first verify-visible pulse —

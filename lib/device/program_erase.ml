@@ -21,57 +21,93 @@ type outcome = {
 let default_program_pulse = { vgs = 15.; duration = 1e-3 }
 let default_erase_pulse = { vgs = -15.; duration = 1e-3 }
 
-(* ---------- warm-started pulse trains ---------- *)
+(* ---------- the pulse oracle ---------- *)
 
-(* Pulse trains (endurance cycling, program-verify loops) re-solve the same
-   transient over and over: successive same-polarity pulses see near-identical
-   initial conditions, and once the train settles into its floating-point
-   limit cycle the (vgs, duration, qfg) triple repeats *bit-exactly*. Two
-   levels of reuse exploit this:
+(* Pulse trains (endurance cycling, program-verify loops, a served array)
+   re-solve the same transient over and over. An oracle is the one value
+   that remembers a train's earlier solves, owned by whoever runs the
+   train:
 
+   - surrogate tables (Pulse_surrogate.cache), consulted first;
    - step-size warm start: the first accepted step of the previous
-     same-polarity pulse seeds the next pulse's [h0], skipping the
+     same-polarity solve seeds the next solve's [h0], skipping the
      cold-start step-size search ([transient/warm_start_hit]);
-   - exact replay: a pulse whose (device, vgs, duration, qfg) key repeats
-     bit-for-bit returns the memoized outcome without integrating at all
-     ([program_erase/pulse_replay]). The solve is a pure function of the
-     key, so the replayed outcome is bit-identical to a re-solve.
+   - exact replay: once the train settles into its floating-point limit
+     cycle the (vgs, duration, qfg) key repeats bit-exactly, and a repeated
+     key returns this oracle's first solve of it without integrating
+     ([program_erase/pulse_replay]). A re-solve could differ from it in
+     the last bits, since its warm [h0] would come from a later pulse.
 
-   State is domain-local (pulse trains run inside one domain; parallel
-   sweeps get an independent cache per worker) and keyed to the device by
-   physical identity — a different device record, even field-for-field
-   equal, resets the cache. Under an active fault-injection plan both
-   lookup and store are bypassed: a fault-poisoned solve must not be
-   memoized, and a memoized clean outcome must not mask the fault path. *)
+   Under an active fault-injection plan all three are bypassed, lookup and
+   store alike: a fault-poisoned solve must not be remembered, and a
+   remembered clean outcome must not mask the fault path. *)
 
-type warm_state = {
-  mutable ws_device : Fgt.t option;
+type oracle = {
+  device : Fgt.t;
+  tables : Pulse_surrogate.cache option;  (* None: surrogate off *)
   replays : (float * float * float, outcome) Hashtbl.t;
-  h_last : (bool, float) Hashtbl.t;
+  h_last : (bool, float) Hashtbl.t;  (* keyed by vgs >= 0 *)
 }
 
-let warm_key : warm_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { ws_device = None; replays = Hashtbl.create 32; h_last = Hashtbl.create 2 })
+let oracle ?(surrogate = true) device =
+  {
+    device;
+    tables = (if surrogate then Some (Pulse_surrogate.cache device) else None);
+    replays = Hashtbl.create 32;
+    h_last = Hashtbl.create 2;
+  }
+
+let tables o = o.tables
 
 (* Limit cycles are short (a program/erase pair per distinct charge state);
    cap the table well above that and reset wholesale if it ever fills. *)
 let max_replay_entries = 64
 
-let warm_state_for t =
-  let ws = Domain.DLS.get warm_key in
-  (match ws.ws_device with
-   (* lint: allow L9 — [==] here is a conservative same-device check on the
-      per-domain warm cache: a false negative only resets the cache and
-      recomputes identical values *)
-   | Some d when d == t -> ()
-   | _ ->
-     Hashtbl.reset ws.replays;
-     Hashtbl.reset ws.h_last;
-     ws.ws_device <- Some t);
-  ws
+(* replay > solve, warm unless a fault plan is active *)
+let exact_body ?budget o ~faulted ~qfg pulse =
+  let key = (pulse.vgs, pulse.duration, qfg) in
+  match if faulted then None else Hashtbl.find_opt o.replays key with
+  | Some outcome ->
+    Tel.count "program_erase/pulse_replay";
+    if outcome.saturated then Tel.count "program_erase/saturated";
+    Ok outcome
+  | None ->
+    let h0 =
+      if faulted then None
+      else
+        match Hashtbl.find_opt o.h_last (pulse.vgs >= 0.) with
+        | Some h ->
+          Tel.count "transient/warm_start_hit";
+          Some h
+        | None -> None
+    in
+    (match
+       Budget.with_opt budget @@ fun () ->
+       Transient.run ?h0 ~qfg0:qfg o.device ~vgs:pulse.vgs ~duration:pulse.duration
+     with
+     | Error e -> Error e
+     | Ok r ->
+       if Option.is_some r.Transient.tsat then Tel.count "program_erase/saturated";
+       let outcome =
+         {
+           qfg_before = qfg;
+           qfg_after = r.Transient.qfg_final;
+           dvt_after = r.Transient.dvt_final;
+           injected_charge = abs_float (r.Transient.qfg_final -. qfg);
+           saturated = Option.is_some r.Transient.tsat;
+         }
+       in
+       if not faulted then begin
+         (match r.Transient.h_first with
+          | Some h -> Hashtbl.replace o.h_last (pulse.vgs >= 0.) h
+          | None -> ());
+         if Hashtbl.length o.replays >= max_replay_entries then
+           Hashtbl.reset o.replays;
+         Hashtbl.replace o.replays key outcome
+       end;
+       Ok outcome)
 
-let apply_pulse ?budget ?(warm_start = true) ?(surrogate = true) t ~qfg pulse =
+let pulse_span ?budget o ~consult ~qfg pulse =
   if pulse.duration <= 0. then
     Error
       (Err.make ~solver:"Program_erase.apply_pulse"
@@ -79,15 +115,12 @@ let apply_pulse ?budget ?(warm_start = true) ?(surrogate = true) t ~qfg pulse =
   else Tel.span "program_erase/pulse" @@ fun () ->
     Tel.count "program_erase/pulse";
     let faulted = Fault.active () in
-    (* precedence: surrogate > exact replay > exact solve. The surrogate is
-       consulted first because it serves the whole operating box, not just
-       bit-exact key repeats; like the warm caches it is bypassed under an
-       active fault plan so a fault path is never masked by a table. *)
     let sur =
-      if surrogate && not faulted then
-        Pulse_surrogate.pulse_response ?budget t ~vgs:pulse.vgs
+      match o.tables with
+      | Some c when consult && not faulted ->
+        Pulse_surrogate.pulse_response ?budget c ~vgs:pulse.vgs
           ~duration:pulse.duration ~qfg
-      else None
+      | _ -> None
     in
     match sur with
     | Some r ->
@@ -97,71 +130,26 @@ let apply_pulse ?budget ?(warm_start = true) ?(surrogate = true) t ~qfg pulse =
         {
           qfg_before = qfg;
           qfg_after;
-          dvt_after = Fgt.threshold_shift t ~qfg:qfg_after;
+          dvt_after = Fgt.threshold_shift o.device ~qfg:qfg_after;
           injected_charge = abs_float (qfg_after -. qfg);
           saturated = r.Pulse_surrogate.saturated;
         }
-    | None ->
-    let warm = warm_start && not faulted in
-    let ws = if warm then Some (warm_state_for t) else None in
-    let key = (pulse.vgs, pulse.duration, qfg) in
-    let replayed =
-      match ws with Some ws -> Hashtbl.find_opt ws.replays key | None -> None
-    in
-    match replayed with
-    | Some outcome ->
-      Tel.count "program_erase/pulse_replay";
-      if outcome.saturated then Tel.count "program_erase/saturated";
-      Ok outcome
-    | None ->
-      let h0 =
-        match ws with
-        | None -> None
-        | Some ws ->
-          (match Hashtbl.find_opt ws.h_last (pulse.vgs >= 0.) with
-           | Some h ->
-             Tel.count "transient/warm_start_hit";
-             Some h
-           | None -> None)
-      in
-      (match
-         Budget.with_opt budget @@ fun () ->
-         Transient.run ?h0 ~qfg0:qfg t ~vgs:pulse.vgs ~duration:pulse.duration
-       with
-       | Error e -> Error e
-       | Ok r ->
-         if Option.is_some r.Transient.tsat then Tel.count "program_erase/saturated";
-         let outcome =
-           {
-             qfg_before = qfg;
-             qfg_after = r.Transient.qfg_final;
-             dvt_after = r.Transient.dvt_final;
-             injected_charge = abs_float (r.Transient.qfg_final -. qfg);
-             saturated = Option.is_some r.Transient.tsat;
-           }
-         in
-         (match ws with
-          | None -> ()
-          | Some ws ->
-            (match r.Transient.h_first with
-             | Some h -> Hashtbl.replace ws.h_last (pulse.vgs >= 0.) h
-             | None -> ());
-            if Hashtbl.length ws.replays >= max_replay_entries then
-              Hashtbl.reset ws.replays;
-            Hashtbl.replace ws.replays key outcome);
-         Ok outcome)
+    | None -> exact_body ?budget o ~faulted ~qfg pulse
 
-let program ?budget ?warm_start ?surrogate ?(pulse = default_program_pulse) t ~qfg =
-  apply_pulse ?budget ?warm_start ?surrogate t ~qfg pulse
+let apply_pulse ?budget o ~qfg pulse = pulse_span ?budget o ~consult:true ~qfg pulse
+let solve ?budget o ~qfg pulse = pulse_span ?budget o ~consult:false ~qfg pulse
 
-let erase ?budget ?warm_start ?surrogate ?(pulse = default_erase_pulse) t ~qfg =
-  apply_pulse ?budget ?warm_start ?surrogate t ~qfg pulse
+let program ?budget ?(pulse = default_program_pulse) o ~qfg =
+  apply_pulse ?budget o ~qfg pulse
 
-let cycle ?warm_start ?surrogate ?(program_pulse = default_program_pulse)
-    ?(erase_pulse = default_erase_pulse) t ~qfg =
-  match program ?warm_start ?surrogate ~pulse:program_pulse t ~qfg with
+let erase ?budget ?(pulse = default_erase_pulse) o ~qfg =
+  apply_pulse ?budget o ~qfg pulse
+
+let cycle ?(program_pulse = default_program_pulse)
+    ?(erase_pulse = default_erase_pulse) o ~qfg =
+  match program ~pulse:program_pulse o ~qfg with
   | Error e -> Error e
   | Ok p ->
-    (match erase ?warm_start ?surrogate ~pulse:erase_pulse t ~qfg:p.qfg_after with
+    (match erase ~pulse:erase_pulse o ~qfg:p.qfg_after with
      | Error e -> Error e
      | Ok e -> Ok (p, e))

@@ -18,55 +18,71 @@ type outcome = {
   saturated : bool;       (** the Jin = Jout event fired inside the pulse *)
 }
 
+(** {1 Oracle} *)
+
+type oracle
+(** What one pulse train remembers of its earlier solves: the
+    {!Pulse_surrogate} table cache, the warm step size per polarity, and
+    an exact-replay table of at most 64 entries. The caller owns it and
+    creates one per train (an endurance run, a program-verify loop, a
+    served array). Nothing is shared between oracles, so a train's results
+    do not depend on what else ran on the domain. Not thread-safe: one
+    oracle serves one domain at a time. *)
+
+val oracle : ?surrogate:bool -> Fgt.t -> oracle
+(** A fresh oracle for this device: its first solve is cold. [surrogate]
+    (default [true]) enables the table cache. Pass [~surrogate:false] for
+    bit-exact solver answers. *)
+
+val tables : oracle -> Pulse_surrogate.cache option
+(** The oracle's table cache; [None] when created with
+    [~surrogate:false]. *)
+
+(** {1 Pulses} *)
+
 val apply_pulse :
   ?budget:Gnrflash_resilience.Budget.t ->
-  ?warm_start:bool ->
-  ?surrogate:bool ->
-  Fgt.t -> qfg:float -> pulse -> (outcome, error) result
+  oracle -> qfg:float -> pulse -> (outcome, error) result
 (** Run one bias pulse from the given initial charge.
 
-    [surrogate] (default [true]) lets in-box pulses be served from the
-    {!Pulse_surrogate} table cache: O(log n) interpolation with a
-    table-certified divergence bound instead of an adaptive ODE solve, with
-    transparent fallback to the exact path for anything the table cannot
-    certify (telemetry [surrogate/{hit,fallback,build}]). Precedence is
-    surrogate > exact replay > exact solve. Pass [~surrogate:false] for
-    bit-exact solver answers; an active fault-injection plan bypasses the
-    surrogate automatically, exactly like the warm caches below.
+    Precedence is surrogate > exact replay > exact solve. The surrogate
+    serves in-box pulses from the oracle's {!Pulse_surrogate} tables:
+    O(log n) interpolation with a table-certified divergence bound instead
+    of an adaptive ODE solve, with transparent fallback to the exact path
+    for anything the table cannot certify (telemetry
+    [surrogate/{hit,fallback,build}]).
 
-    [warm_start] (default [true]) enables two levels of pulse-train reuse,
-    both domain-local and keyed to the device by physical identity:
-    the previous same-polarity pulse's first accepted step size seeds this
-    pulse's initial [dt] ([transient/warm_start_hit]), and a pulse whose
-    (vgs, duration, qfg) triple repeats bit-for-bit on the same device
-    record replays the memoized outcome without integrating
-    ([program_erase/pulse_replay] — bit-identical to a re-solve, since the
-    solve is a pure function of the key). Pass [~warm_start:false] to force
-    every pulse through a cold solve; fault-injection plans bypass the
-    cache automatically. *)
+    The exact path reuses the oracle's train history two ways. The
+    previous same-polarity solve's first accepted step size seeds this
+    solve's initial [dt] ([transient/warm_start_hit]). A (vgs, duration,
+    qfg) key that repeats bit-for-bit returns this oracle's first solve of
+    that key without integrating ([program_erase/pulse_replay]); a
+    re-solve could differ from it in the last bits, because its warm
+    [dt] would come from a later pulse. An active fault-injection plan
+    bypasses the surrogate, the warm start and the replay table. *)
+
+val solve :
+  ?budget:Gnrflash_resilience.Budget.t ->
+  oracle -> qfg:float -> pulse -> (outcome, error) result
+(** {!apply_pulse} without the surrogate consult: exact replay > exact
+    solve. For callers that consulted {!tables} themselves and must not
+    count a second consult toward table promotion. *)
 
 val program :
   ?budget:Gnrflash_resilience.Budget.t ->
-  ?warm_start:bool ->
-  ?surrogate:bool ->
-  ?pulse:pulse -> Fgt.t -> qfg:float -> (outcome, error) result
+  ?pulse:pulse -> oracle -> qfg:float -> (outcome, error) result
 (** One programming pulse; defaults to the paper's VGS = 15 V for 1 ms. *)
 
 val erase :
   ?budget:Gnrflash_resilience.Budget.t ->
-  ?warm_start:bool ->
-  ?surrogate:bool ->
-  ?pulse:pulse -> Fgt.t -> qfg:float -> (outcome, error) result
+  ?pulse:pulse -> oracle -> qfg:float -> (outcome, error) result
 (** One erase pulse; defaults to VGS = −15 V for 1 ms. *)
 
 val default_program_pulse : pulse
 val default_erase_pulse : pulse
 
 val cycle :
-  ?warm_start:bool ->
-  ?surrogate:bool ->
-  ?program_pulse:pulse -> ?erase_pulse:pulse -> Fgt.t -> qfg:float ->
+  ?program_pulse:pulse -> ?erase_pulse:pulse -> oracle -> qfg:float ->
   ((outcome * outcome), error) result
-(** One full program-then-erase cycle; returns both outcomes. See
-    {!apply_pulse} for the warm-start semantics that make long cycle
-    trains cheap. *)
+(** One full program-then-erase cycle; returns both outcomes. Long cycle
+    trains through one oracle settle into replays. *)

@@ -113,40 +113,37 @@ val time_to_charge : t -> qfg0:float -> qfg1:float -> float option
 (** Trajectory time from [qfg0] to [qfg1] (the Fig 5 [ttts] when [qfg1]
     is the 2 V-shift charge); [None] if either end is out of range. *)
 
-(** {1 Cached front door} *)
+(** {1 Table cache}
 
-val set_build_after : int -> unit
-(** A table is only built after a (device, vgs) pair has been asked for
-    more than this many times (default 2): single-shot queries — e.g. a
-    Monte-Carlo sweep touching each device once — fall back to the exact
-    solver instead of paying a build they would never amortize. Set 0 to
-    build eagerly (the bench does, around its probes). The policy is
-    per-domain-deterministic, so parallel sweeps that split work by device
-    stay bit-reproducible across [jobs]. *)
+    One device's tables together with their promotion state. A cache is
+    created by, and belongs to, one {!Program_erase.oracle}: tables are
+    built, promoted and reset only by consults through that cache, so what
+    it serves never depends on anything else running on the domain. *)
 
-val build_after : unit -> int
+type cache
 
-val cached : Fgt.t -> vgs:float -> t option
-(** Peek at this domain's cache without counting, building, or promoting —
-    for tests and the bench to reach the serving table's bound. *)
+val cache : Fgt.t -> cache
+(** An empty cache for this device. *)
 
-val response_static : ?box:box -> Fgt.t -> vgs:float -> duration:float -> bool
-(** Whether {!pulse_response} has become a {e pure} function of [qfg] for
-    this (device, vgs, duration) in the calling domain: the pulse never
-    enters the box, or the (device, vgs) table slot is settled (built or
-    poisoned) so a consult can no longer count toward promotion, build, or
-    reset anything. Downstream memo layers ({!Gnrflash_memory.Cell_store})
-    use this to decide when an out-of-box outcome may be cached without
-    changing how often the promotion counters advance. *)
+val table : cache -> vgs:float -> t option
+(** The table serving [vgs], if one has been built — a peek that neither
+    counts, builds nor promotes. *)
+
+val settled : cache -> vgs:float -> bool
+(** Whether the [vgs] slot is built or poisoned: from then on a consult
+    can no longer count toward promotion, build or reset anything, so
+    {!pulse_response} is a pure function of the pulse. Downstream memos
+    ({!Gnrflash_memory.Cell_store}) read this to decide when an exact
+    outcome may be cached without changing when a table gets built. *)
 
 val pulse_response :
   ?budget:Gnrflash_resilience.Budget.t ->
-  ?box:box ->
-  Fgt.t -> vgs:float -> duration:float -> qfg:float -> response option
-(** The front door {!Program_erase.apply_pulse} uses: in-box pulses are
-    served from this domain's table cache (building on promotion, keyed to
-    the device by physical identity like the warm-replay cache — a
-    different device record resets it); every [None] is a fallback the
-    caller must route to the exact solver. Build failures other than
-    budget exhaustion poison the (device, vgs) slot so the solver is not
-    re-asked every pulse; budget exhaustion is transient and retried. *)
+  cache -> vgs:float -> duration:float -> qfg:float -> response option
+(** The consult {!Program_erase.apply_pulse} makes first. A pulse inside
+    the paper box is served from the cache's table for [vgs]. That table
+    is built on the third request for [vgs]: the first two fall back, so a
+    device that is pulsed only once or twice never pays for a build. Every
+    [None] is a fallback the caller must route to the exact solver. Build
+    failures other than budget exhaustion poison the [vgs] slot so the
+    solver is not re-asked every pulse; budget exhaustion is transient and
+    retried. A cache holds at most 32 tables and is emptied when full. *)

@@ -4,6 +4,7 @@ module U = Gnrflash_units
 
 type t = {
   device : D.Fgt.t;
+  oracle : D.Program_erase.oracle; (* every pulse on this store goes through it *)
   cfc : float; (* control-coupling capacitance, hoisted for O(1) readout *)
   n : int;
   qfg : float array;
@@ -13,10 +14,11 @@ type t = {
   broken : Bytes.t; (* '\000' intact, '\001' broken *)
 }
 
-let create ?(qfg = 0.) ~n device =
+let create ?(qfg = 0.) ?surrogate ~n device =
   if n < 1 then invalid_arg "Cell_store.create: n < 1";
   {
     device;
+    oracle = D.Program_erase.oracle ?surrogate device;
     cfc = U.to_float (D.Capacitance.cfc_qty device.D.Fgt.caps);
     n;
     qfg = Array.make n qfg;
@@ -189,30 +191,28 @@ let apply_entry t i e =
 (* Full apply_pulse round trip for the paths that must stay un-memoized:
    surrogate off, fault plans, non-positive durations. These take the same
    apply_pulse call the record path took, in the same order. *)
-let apply_exact t ~rel ~pulse ~surrogate i q0 =
-  match D.Program_erase.apply_pulse ~surrogate t.device ~qfg:q0 pulse with
+let apply_exact t ~rel ~pulse i q0 =
+  match D.Program_erase.apply_pulse t.oracle ~qfg:q0 pulse with
   | Error e -> Error (Gnrflash_resilience.Solver_error.to_string e)
   | Ok o ->
     apply_entry t i (entry_of t ~rel ~pulse q0 o.D.Program_erase.qfg_after);
     Ok ()
 
-let apply_pulse_at ?(reliability = D.Reliability.default) t ~memo ~pulse
-    ~surrogate i =
+let apply_pulse_at ?(reliability = D.Reliability.default) t ~memo ~pulse i =
   if Bytes.get t.broken i <> '\000' then Error "Cell: oxide broken"
   else begin
     let q0 = t.qfg.(i) in
-    (* Memoization is sound only for surrogate-served pulses: the table is
-       a pure function of (device, vgs, duration, qfg) with no
-       call-history state. Everything else — surrogate off, active fault
-       plan (a memo must never mask a fault path), non-positive duration,
-       out-of-box charge — takes the same apply_pulse call the record
+    (* Memoization is sound only where the outcome is a pure function of
+       the charge: surrogate-served pulses, and exact ones once the
+       oracle's table slot is settled (below). Everything else — surrogate
+       off, active fault plan (a memo must never mask a fault path),
+       non-positive duration — takes the same apply_pulse call the record
        path took, in the same order. *)
-    if
-      (not surrogate)
-      || pulse.D.Program_erase.duration <= 0.
-      || Gnrflash_resilience.Fault.active ()
-    then apply_exact t ~rel:reliability ~pulse ~surrogate i q0
-    else begin
+    match D.Program_erase.tables t.oracle with
+    | Some tables
+      when not
+             (pulse.D.Program_erase.duration <= 0.
+              || Gnrflash_resilience.Fault.active ()) -> begin
       let s = find_slot memo q0 in
       if Bytes.unsafe_get memo.m_occ s <> '\000' then begin
         (* hit: replay the deltas straight from the columns — no solve,
@@ -227,7 +227,7 @@ let apply_pulse_at ?(reliability = D.Reliability.default) t ~memo ~pulse
       end
       else begin
         match
-          D.Pulse_surrogate.pulse_response t.device
+          D.Pulse_surrogate.pulse_response tables
             ~vgs:pulse.D.Program_erase.vgs
             ~duration:pulse.D.Program_erase.duration ~qfg:q0
         with
@@ -240,29 +240,29 @@ let apply_pulse_at ?(reliability = D.Reliability.default) t ~memo ~pulse
           apply_entry t i e;
           Ok ()
         | None -> begin
-          (* the consult above already counted toward this (device, vgs)
-             promotion — go exact WITHOUT a second consult, so the
-             surrogate's build-after counter advances exactly as often as
-             under the record path's single apply_pulse consult *)
-          match
-            D.Program_erase.apply_pulse ~surrogate:false t.device ~qfg:q0
-              pulse
-          with
+          (* the consult above already counted toward this vgs's
+             promotion — go exact WITHOUT a second consult, so the table
+             gets built on the same pulse as under the record path's
+             single apply_pulse consult *)
+          match D.Program_erase.solve t.oracle ~qfg:q0 pulse with
           | Error e -> Error (Gnrflash_resilience.Solver_error.to_string e)
           | Ok o ->
             let e =
               entry_of t ~rel:reliability ~pulse q0 o.D.Program_erase.qfg_after
             in
-            (* Out-of-box outcomes come from Program_erase's exact-replay
-               table, pure in (vgs, duration, qfg) — memoizable once the
-               surrogate consult can no longer mutate promotion state
-               (slot settled or pulse never in the box). Before that,
-               every pulse must keep consulting, or the build would land
-               on a different pulse than under the record path. *)
+            (* An exact outcome is memoizable once the consult can no
+               longer change the oracle's promotion state: the pulse
+               never enters the box, or its table slot is settled.
+               Before that, every pulse must keep consulting, or the
+               build would land on a different pulse than under the
+               record path. *)
             if
-              D.Pulse_surrogate.response_static t.device
-                ~vgs:pulse.D.Program_erase.vgs
-                ~duration:pulse.D.Program_erase.duration
+              (not
+                 (D.Pulse_surrogate.in_box t.device
+                    ~vgs:pulse.D.Program_erase.vgs
+                    ~duration:pulse.D.Program_erase.duration))
+              || D.Pulse_surrogate.settled tables
+                   ~vgs:pulse.D.Program_erase.vgs
             then
               memo_add memo q0 ~qfg_after:e.e_qfg_after ~dfl:e.e_dfluence
                 ~dtr:e.e_dtraps ~qbd:e.e_qbd;
@@ -271,14 +271,15 @@ let apply_pulse_at ?(reliability = D.Reliability.default) t ~memo ~pulse
         end
       end
     end
+    | _ -> apply_exact t ~rel:reliability ~pulse i q0
   end
 
 let apply_pulse_range ?(reliability = D.Reliability.default) t ~memo ~pulse
-    ~surrogate ~lo ~hi =
+    ~lo ~hi =
   let err = ref None in
   let i = ref lo in
   while Option.is_none !err && !i <= hi do
-    (match apply_pulse_at t ~reliability ~memo ~pulse ~surrogate !i with
+    (match apply_pulse_at t ~reliability ~memo ~pulse !i with
      | Ok () -> ()
      | Error e -> err := Some e);
     incr i

@@ -10,22 +10,28 @@
     operations resolve one surrogate solve per {e distinct} charge and
     replay the precomputed charge/wear deltas across the range.
 
+    Each store owns one {!Gnrflash_device.Program_erase.oracle}, and
+    every pulse on the store goes through it.
+
     Bit-identity contract: every update applies exactly the float
-    expressions of {!Cell.apply_bias_pulse} /
-    {!Gnrflash_device.Reliability.after_pulse} (memoized per distinct
-    starting charge — valid because the pulse solve is a pure function of
-    [(device, vgs, duration, qfg)], see {!Gnrflash_device.Program_erase}),
-    so charges, wear and digests stay Int64-bit-identical to the seed
-    record-based path. The side-by-side qcheck property in
-    [test/test_cell_store.ml] pins this. *)
+    expressions of {!Cell.program} / {!Cell.erase} and
+    {!Gnrflash_device.Reliability.after_pulse}, and the oracle sees the
+    same consults and solves in the same order as the record-based path
+    driving one oracle, so charges, wear and digests stay
+    Int64-bit-identical to it. Outcomes are memoized per distinct starting
+    charge only where that order cannot change (see {!type-memo}). The
+    side-by-side qcheck property in [test/test_cell_store.ml] pins this. *)
 
 type t
 (** Mutable store. Not thread-safe; each execution-tier worker owns its
     instances. *)
 
-val create : ?qfg:float -> n:int -> Gnrflash_device.Fgt.t -> t
+val create :
+  ?qfg:float -> ?surrogate:bool -> n:int -> Gnrflash_device.Fgt.t -> t
 (** [n] cells over one shared device record, all at charge [qfg]
-    (default neutral) with zero wear. @raise Invalid_argument if [n < 1]. *)
+    (default neutral) with zero wear, and a fresh oracle for the device
+    ([surrogate] is passed to {!Gnrflash_device.Program_erase.oracle}).
+    @raise Invalid_argument if [n < 1]. *)
 
 val length : t -> int
 val device : t -> Gnrflash_device.Fgt.t
@@ -68,14 +74,16 @@ type memo
     (sign-preserving, so [-0.] and [0.] stay distinct). Each entry
     carries the post-pulse charge and the precomputed wear deltas of
     {!Gnrflash_device.Reliability.after_pulse}. A memo is valid for one
-    fixed [(pulse, surrogate, reliability)] triple on this store's device
-    — e.g. an instance-lifetime program memo and erase memo in
-    {!Command_fsm}. Entries are admitted from two sources: surrogate-served
-    outcomes (pure in the charge by certification), and out-of-box exact
-    outcomes once {!Gnrflash_device.Pulse_surrogate.response_static} says
-    the consult can no longer advance the build promotion — before that,
-    every pulse re-consults so the surrogate builds on exactly the same
-    pulse as under the record-based path. *)
+    fixed [(pulse, reliability)] pair on one store — e.g. an
+    instance-lifetime program memo and erase memo in {!Command_fsm}.
+    Entries are admitted from two sources: surrogate-served outcomes (pure
+    in the charge by certification), and exact outcomes once the pulse is
+    outside the surrogate's box or the store oracle's table slot for its
+    bias is settled ({!Gnrflash_device.Pulse_surrogate.settled}), so a
+    consult can no longer advance the build promotion. Before that, every
+    pulse re-consults so the table is built on exactly the same pulse as
+    under the record-based path. A store with the surrogate off memoizes
+    nothing. *)
 
 val memo : unit -> memo
 
@@ -84,7 +92,6 @@ val apply_pulse_at :
   t ->
   memo:memo ->
   pulse:Gnrflash_device.Program_erase.pulse ->
-  surrogate:bool ->
   int -> (unit, string) result
 (** Apply one pulse to cell [i] in place, bit-identical to
     {!Cell.program}/{!Cell.erase} on the equivalent {!Cell.t}: broken
@@ -99,7 +106,6 @@ val apply_pulse_range :
   t ->
   memo:memo ->
   pulse:Gnrflash_device.Program_erase.pulse ->
-  surrogate:bool ->
   lo:int -> hi:int -> (unit, string) result
 (** [apply_pulse_at] over [lo..hi] inclusive, ascending — one solve per
     distinct charge in the range, deltas blitted across the rest. Stops

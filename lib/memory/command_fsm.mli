@@ -113,6 +113,8 @@ type stats = {
 
 val create : ?config:config -> Gnrflash_device.Fgt.t -> t
 (** Fresh device, all cells erased (neutral charge), model clock at 0.
+    Its cell store owns a fresh pulse oracle, so the instance starts cold
+    and its results do not depend on what else runs on the domain.
     @raise Invalid_argument on non-positive geometry. *)
 
 val config : t -> config

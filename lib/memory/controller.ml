@@ -16,6 +16,7 @@ type t = {
   stats : stats;
   ispp : D.Ispp.config;
   disturb : D.Disturb.config;
+  oracle : D.Program_erase.oracle;
 }
 
 let make ?(ispp = D.Ispp.default) ?disturb block =
@@ -26,7 +27,8 @@ let make ?(ispp = D.Ispp.default) ?disturb block =
       D.Disturb.half_select ~vgs_program:ispp.D.Ispp.v_start
         ~pulse_width:ispp.D.Ispp.pulse_width
   in
-  { block; stats = empty_stats; ispp; disturb }
+  let device = (Array_model.get block ~page:0 ~string_:0).Cell.device in
+  { block; stats = empty_stats; ispp; disturb; oracle = D.Program_erase.oracle device }
 
 let program_page t ~page ~data =
   if Array.length data <> t.block.Array_model.strings then
@@ -39,7 +41,7 @@ let program_page t ~page ~data =
     (fun s bit ->
        if Option.is_none !error && bit = 0 then begin
          let c = Array_model.get !block ~page ~string_:s in
-         match D.Ispp.run ~config:t.ispp c.Cell.device ~qfg0:c.Cell.qfg with
+         match D.Ispp.run ~config:t.ispp t.oracle ~qfg0:c.Cell.qfg with
          | Error e -> error := Some e
          | Ok r ->
            if not r.D.Ispp.passed then incr failures;
@@ -108,7 +110,7 @@ let erase_block t =
         match !error with
         | Some _ -> c
         | None ->
-          (match Cell.erase c with
+          (match Cell.erase t.oracle c with
            | Error e ->
              error := Some e;
              c

@@ -17,14 +17,20 @@ type t = {
   stats : stats;
   ispp : Gnrflash_device.Ispp.config;
   disturb : Gnrflash_device.Disturb.config;
+  oracle : Gnrflash_device.Program_erase.oracle;
+      (** every program and erase pulse on the block; shared by all values
+          derived from this one *)
 }
 
 val make :
   ?ispp:Gnrflash_device.Ispp.config ->
   ?disturb:Gnrflash_device.Disturb.config ->
   Array_model.t -> t
-(** Wrap a block. Defaults: {!Gnrflash_device.Ispp.default} and the VGS/2
-    inhibit scheme at the ISPP start voltage. *)
+(** Wrap a block, with a fresh oracle for its device. Every cell of the
+    block must share one device record: pulses run on the device of page
+    0, string 0, while stress, wear and readout use each cell's own. Defaults:
+    {!Gnrflash_device.Ispp.default} and the VGS/2 inhibit scheme at the
+    ISPP start voltage. *)
 
 val program_page : t -> page:int -> data:int array -> (t, string) result
 (** Program the page to [data] (1 bit per string; 0 = program the cell,

@@ -92,9 +92,11 @@ let read_bit t ~index =
 let erase_all t =
   (* every cell erases independently; sweep boxed views across the domain
      pool and report the first (lowest-index) failure for determinism —
-     the store is written back only on a fully clean sweep *)
+     the store is written back only on a fully clean sweep. Each cell gets
+     its own oracle: an oracle serves one domain at a time. *)
   let views = Array.init (S.length t.store) (S.view t.store) in
-  let results = Gnrflash_parallel.Sweep.map Cell.erase views in
+  let erase c = Cell.erase (D.Program_erase.oracle c.Cell.device) c in
+  let results = Gnrflash_parallel.Sweep.map erase views in
   let error =
     Array.fold_left
       (fun acc r -> match acc, r with None, Error e -> Some e | _ -> acc)

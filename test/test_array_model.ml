@@ -5,6 +5,9 @@ open Gnrflash_testing.Testing
 
 let block () = Am.make F.paper_default ~pages:3 ~strings:4
 
+(* every pulse in this file goes through one oracle *)
+let oracle = Gnrflash_device.Program_erase.oracle F.paper_default
+
 let test_make () =
   let b = block () in
   Alcotest.(check int) "pages" 3 b.Am.pages;
@@ -20,7 +23,7 @@ let test_fresh_block_erased () =
 
 let test_get_set () =
   let b = block () in
-  let programmed = check_ok "program" (Cell.program (Cell.make F.paper_default)) in
+  let programmed = check_ok "program" (Cell.program oracle (Cell.make F.paper_default)) in
   let b' = Am.set b ~page:1 ~string_:2 programmed in
   check_true "cell updated" ((Am.get b' ~page:1 ~string_:2).Cell.qfg < 0.);
   (* functional update: the original block is untouched *)
@@ -33,13 +36,13 @@ let test_coordinates_checked () =
     (fun () -> ignore (Am.get (block ()) ~page:5 ~string_:0))
 
 let test_map_page () =
-  let programmed c = match Cell.program c with Ok c' -> c' | Error _ -> c in
+  let programmed c = match Cell.program oracle c with Ok c' -> c' | Error _ -> c in
   let b = Am.map_page (block ()) ~page:0 programmed in
   Alcotest.(check (array int)) "page 0 programmed" [| 0; 0; 0; 0 |] (Am.page_bits b ~page:0);
   Alcotest.(check (array int)) "page 1 untouched" [| 1; 1; 1; 1 |] (Am.page_bits b ~page:1)
 
 let test_map_all () =
-  let programmed c = match Cell.program c with Ok c' -> c' | Error _ -> c in
+  let programmed c = match Cell.program oracle c with Ok c' -> c' | Error _ -> c in
   let b = Am.map_all (block ()) programmed in
   for p = 0 to 2 do
     Alcotest.(check (array int)) "all programmed" [| 0; 0; 0; 0 |] (Am.page_bits b ~page:p)
@@ -50,7 +53,7 @@ let test_wear_summary () =
   check_close "fresh mean" 0. mean0;
   check_close "fresh fluence" 0. fluence0;
   Alcotest.(check int) "none broken" 0 broken0;
-  let programmed c = match Cell.program c with Ok c' -> c' | Error _ -> c in
+  let programmed c = match Cell.program oracle c with Ok c' -> c' | Error _ -> c in
   let b = Am.map_all (block ()) programmed in
   let mean1, fluence1, _ = Am.wear_summary b in
   check_close "one cycle everywhere" 1. mean1;

@@ -3,6 +3,9 @@ module Cell = Gnrflash_memory.Cell
 module F = Gnrflash_device.Fgt
 open Gnrflash_testing.Testing
 
+(* every pulse in this file goes through one oracle *)
+let oracle = Gnrflash_device.Program_erase.oracle F.paper_default
+
 let fresh_string n = Ns.make (Array.init n (fun _ -> Cell.make F.paper_default))
 
 let test_make_validation () =
@@ -22,7 +25,7 @@ let test_read_programmed_cell () =
   (* a fully saturated cell shifts VT by ~6.7 V, so V_pass must exceed
      vt0 + dVT for the series string to stay conductive *)
   let s = Ns.make ~v_pass:9. (Array.init 4 (fun _ -> Cell.make F.paper_default)) in
-  let programmed = check_ok "program" (Cell.program (Cell.make F.paper_default)) in
+  let programmed = check_ok "program" (Cell.program oracle (Cell.make F.paper_default)) in
   let s = Ns.update_cell s 2 programmed in
   Alcotest.(check int) "programmed reads 0" 0 (check_ok "read" (Ns.read_bit s ~selected:2));
   Alcotest.(check int) "neighbor unaffected" 1 (check_ok "read" (Ns.read_bit s ~selected:1))
@@ -35,7 +38,7 @@ let test_bad_index () =
 let test_blocked_string () =
   (* an unselected cell whose VT exceeds V_pass breaks the series path *)
   let s = Ns.make ~v_pass:2. (Array.init 4 (fun _ -> Cell.make F.paper_default)) in
-  let programmed = check_ok "program" (Cell.program (Cell.make F.paper_default)) in
+  let programmed = check_ok "program" (Cell.program oracle (Cell.make F.paper_default)) in
   let s = Ns.update_cell s 1 programmed in
   (* cell 1 has dVT ~ 6.7 V > 2 V pass: reading another page must fail *)
   check_error "blocked" (Ns.read_bit s ~selected:3)
@@ -44,7 +47,7 @@ let test_string_current_bottleneck () =
   let s = fresh_string 4 in
   let i_fresh = Ns.string_current s ~selected:0 in
   check_true "erased string conducts" (i_fresh > 0.);
-  let programmed = check_ok "program" (Cell.program (Cell.make F.paper_default)) in
+  let programmed = check_ok "program" (Cell.program oracle (Cell.make F.paper_default)) in
   let s' = Ns.update_cell s 0 programmed in
   let i_prog = Ns.string_current s' ~selected:0 in
   check_true "programmed cell throttles the string" (i_prog < i_fresh /. 10.)

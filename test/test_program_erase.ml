@@ -8,6 +8,9 @@ let check_error msg r = ignore (check_serr msg r)
 
 let t = F.paper_default
 
+(* the default-configured tests share one oracle, in file order *)
+let oracle = Pe.oracle t
+
 let test_default_pulses () =
   check_close "program bias" 15. Pe.default_program_pulse.Pe.vgs;
   check_close "erase bias" (-15.) Pe.default_erase_pulse.Pe.vgs;
@@ -15,7 +18,7 @@ let test_default_pulses () =
     (Pe.default_program_pulse.Pe.duration > 0. && Pe.default_erase_pulse.Pe.duration > 0.)
 
 let test_program_outcome () =
-  let o = check_ok "program" (Pe.program t ~qfg:0.) in
+  let o = check_ok "program" (Pe.program oracle ~qfg:0.) in
   check_close "records initial charge" 0. o.Pe.qfg_before;
   check_true "stores electrons" (o.Pe.qfg_after < 0.);
   check_true "positive shift" (o.Pe.dvt_after > 1.);
@@ -23,52 +26,52 @@ let test_program_outcome () =
   check_true "1 ms pulse saturates" o.Pe.saturated
 
 let test_erase_outcome () =
-  let p = check_ok "program" (Pe.program t ~qfg:0.) in
-  let e = check_ok "erase" (Pe.erase t ~qfg:p.Pe.qfg_after) in
+  let p = check_ok "program" (Pe.program oracle ~qfg:0.) in
+  let e = check_ok "erase" (Pe.erase oracle ~qfg:p.Pe.qfg_after) in
   check_true "charge removed" (e.Pe.qfg_after > p.Pe.qfg_after);
   check_true "threshold drops" (e.Pe.dvt_after < p.Pe.dvt_after)
 
 let test_short_pulse_partial () =
   let short = { Pe.vgs = 15.; duration = 1e-9 } in
-  let o = check_ok "short" (Pe.apply_pulse t ~qfg:0. short) in
-  let full = check_ok "full" (Pe.program t ~qfg:0.) in
+  let o = check_ok "short" (Pe.apply_pulse oracle ~qfg:0. short) in
+  let full = check_ok "full" (Pe.program oracle ~qfg:0.) in
   check_true "partial programming" (o.Pe.dvt_after < full.Pe.dvt_after);
   check_true "some charge still moved" (o.Pe.dvt_after > 0.01)
 
 let test_pulse_validation () =
-  check_error "zero duration" (Pe.apply_pulse t ~qfg:0. { Pe.vgs = 15.; duration = 0. })
+  check_error "zero duration" (Pe.apply_pulse oracle ~qfg:0. { Pe.vgs = 15.; duration = 0. })
 
 let test_cycle () =
-  let p, e = check_ok "cycle" (Pe.cycle t ~qfg:0.) in
+  let p, e = check_ok "cycle" (Pe.cycle oracle ~qfg:0.) in
   check_true "programmed then erased" (p.Pe.qfg_after < 0. && e.Pe.qfg_after > p.Pe.qfg_after);
   (* symmetric device: erase overshoots to the positive mirror charge *)
   check_close ~tol:0.05 "mirror" (-.p.Pe.qfg_after) e.Pe.qfg_after
 
 let test_idempotent_saturation () =
   (* programming an already saturated cell moves almost no charge *)
-  let o1 = check_ok "first" (Pe.program t ~qfg:0.) in
-  let o2 = check_ok "second" (Pe.program t ~qfg:o1.Pe.qfg_after) in
+  let o1 = check_ok "first" (Pe.program oracle ~qfg:0.) in
+  let o2 = check_ok "second" (Pe.program oracle ~qfg:o1.Pe.qfg_after) in
   check_true "second pulse injects far less"
     (o2.Pe.injected_charge < o1.Pe.injected_charge /. 100.)
 
-(* Warm-started pulse trains: on a repeated program/erase train the step-size
-   warm start and the exact-replay memoization must both engage (counters
-   non-zero), stay silent when disabled, and never change the physics — the
-   warm train's final charge must match a fully cold train to solver
-   tolerance (replays are bit-identical by construction; the h0 reuse only
-   reshapes the step sequence). The surrogate is switched off here: it has
-   precedence over the replay cache, so with it on these in-box pulses
-   would be table-served and the warm/replay counters under test would
-   never fire. *)
+(* Warm-started pulse trains: on a repeated program/erase train through one
+   oracle the step-size warm start and the exact-replay memoization must
+   both engage (counters non-zero), stay silent with a fresh oracle per
+   cycle, and never change the physics — the warm train's final charge
+   must match a fully cold train to solver tolerance (a replay returns the
+   oracle's first solve of its key; the h0 reuse only reshapes the step
+   sequence). The surrogate is switched off here: it has precedence over
+   the replay cache, so with it on these in-box pulses would be
+   table-served and the warm/replay counters under test would never
+   fire. *)
 let run_train ~warm_start ~cycles =
   let pp = { Pe.vgs = 15.; duration = 100e-6 }
   and ep = { Pe.vgs = -15.; duration = 100e-6 } in
+  let train = Pe.oracle ~surrogate:false t in
   let q = ref 0. in
   for _ = 1 to cycles do
-    match
-      Pe.cycle ~warm_start ~surrogate:false ~program_pulse:pp ~erase_pulse:ep t
-        ~qfg:!q
-    with
+    let o = if warm_start then train else Pe.oracle ~surrogate:false t in
+    match Pe.cycle ~program_pulse:pp ~erase_pulse:ep o ~qfg:!q with
     | Ok (_, e) -> q := e.Pe.qfg_after
     | Error _ -> Alcotest.fail "train cycle failed"
   done;
@@ -100,12 +103,13 @@ let test_warm_start_counters () =
   check_close ~tol:1e-6 "same physics warm or cold" q_cold q_warm
 
 let test_warm_replay_bit_identical () =
-  (* the same (device, vgs, duration, qfg) pulse twice in a row on the
-     exact path (surrogate off): the second is a replay and must reproduce
-     the first outcome bit-for-bit *)
+  (* the same (vgs, duration, qfg) pulse twice in a row through one oracle
+     on the exact path (surrogate off): the second is a replay and must
+     reproduce the first outcome bit-for-bit *)
   let pulse = { Pe.vgs = 15.; duration = 50e-6 } in
-  let o1 = check_ok "first" (Pe.apply_pulse ~surrogate:false t ~qfg:0. pulse) in
-  let o2 = check_ok "replayed" (Pe.apply_pulse ~surrogate:false t ~qfg:0. pulse) in
+  let exact = Pe.oracle ~surrogate:false t in
+  let o1 = check_ok "first" (Pe.apply_pulse exact ~qfg:0. pulse) in
+  let o2 = check_ok "replayed" (Pe.apply_pulse exact ~qfg:0. pulse) in
   check_true "bit-identical replay"
     (Int64.equal
        (Int64.bits_of_float o1.Pe.qfg_after)
@@ -117,23 +121,26 @@ let test_warm_replay_bit_identical () =
 
 (* Surrogate precedence over the replay cache must be deterministic: once a
    table serves a (vgs, duration, qfg) key, it keeps serving it even if an
-   exact replay entry for the same key exists from an earlier opt-out solve
-   — and repeated surrogate answers are bit-identical (pure interpolation
-   of an immutable table). *)
+   exact replay entry for the same key exists from an earlier solve — and
+   repeated surrogate answers are bit-identical (pure interpolation of an
+   immutable table). *)
 let test_surrogate_precedence_deterministic () =
   let module Ps = Gnrflash_device.Pulse_surrogate in
   let module Tel = Gnrflash_telemetry.Telemetry in
-  let prev = Ps.build_after () in
-  Ps.set_build_after 0;
-  Fun.protect ~finally:(fun () -> Ps.set_build_after prev) @@ fun () ->
+  let pulse = { Pe.vgs = 15.; duration = 75e-6 } in
+  let o = Pe.oracle t in
+  (* seed a replay entry on the exact path first: the fresh oracle's first
+     consult falls back to a cold solve; one more consult promotes the
+     table, so the next pulse builds it *)
+  let exact = check_ok "exact seed" (Pe.apply_pulse o ~qfg:0. pulse) in
+  (match Pe.tables o with
+   | Some c -> ignore (Ps.pulse_response c ~vgs:15. ~duration:75e-6 ~qfg:0.)
+   | None -> Alcotest.fail "surrogate off");
   Tel.reset ();
   Tel.enable ();
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
-  let pulse = { Pe.vgs = 15.; duration = 75e-6 } in
-  (* seed a replay entry on the exact path first *)
-  let exact = check_ok "exact seed" (Pe.apply_pulse ~surrogate:false t ~qfg:0. pulse) in
-  let s1 = check_ok "surrogate 1" (Pe.apply_pulse t ~qfg:0. pulse) in
-  let s2 = check_ok "surrogate 2" (Pe.apply_pulse t ~qfg:0. pulse) in
+  let s1 = check_ok "surrogate 1" (Pe.apply_pulse o ~qfg:0. pulse) in
+  let s2 = check_ok "surrogate 2" (Pe.apply_pulse o ~qfg:0. pulse) in
   check_true "surrogate served despite replay entry"
     (Tel.counter_total "surrogate/hit" >= 2);
   Alcotest.(check int) "replay never consulted" 0
@@ -143,7 +150,7 @@ let test_surrogate_precedence_deterministic () =
        (Int64.bits_of_float s2.Pe.qfg_after));
   (* and the surrogate stays within its table's certified bound of the
      exact answer it shadowed *)
-  match Gnrflash_device.Pulse_surrogate.cached t ~vgs:15. with
+  match Option.bind (Pe.tables o) (Ps.table ~vgs:15.) with
   | None -> Alcotest.fail "table missing"
   | Some tab ->
     check_true "within certified bound of the shadowed exact answer"
@@ -154,8 +161,8 @@ let prop_longer_pulse_more_charge =
   prop "longer pulses move at least as much charge" ~count:6
     QCheck2.Gen.(float_range 1e-9 1e-7)
     (fun d ->
-       let o1 = Pe.apply_pulse t ~qfg:0. { Pe.vgs = 15.; duration = d } in
-       let o2 = Pe.apply_pulse t ~qfg:0. { Pe.vgs = 15.; duration = d *. 3. } in
+       let o1 = Pe.apply_pulse oracle ~qfg:0. { Pe.vgs = 15.; duration = d } in
+       let o2 = Pe.apply_pulse oracle ~qfg:0. { Pe.vgs = 15.; duration = d *. 3. } in
        match o1, o2 with
        | Ok a, Ok b -> b.Pe.injected_charge >= a.Pe.injected_charge *. 0.999
        | _ -> false)

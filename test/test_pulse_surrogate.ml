@@ -21,11 +21,17 @@ let exact_final device ~vgs ~duration ~qfg =
     Alcotest.failf "exact solve failed: %s"
       (Gnrflash_resilience.Solver_error.to_string e)
 
-(* restore the default promotion policy however a test exits *)
-let with_build_after n f =
-  let prev = Ps.build_after () in
-  Ps.set_build_after n;
-  Fun.protect ~finally:(fun () -> Ps.set_build_after prev) f
+(* Two consults promote a bias, so the oracle's next pulse at it builds
+   the table — its first pulse is then table-served. *)
+let prewarm o ~vgs ~duration =
+  match Pe.tables o with
+  | None -> Alcotest.fail "prewarm: surrogate off"
+  | Some c ->
+    for _ = 1 to 2 do
+      ignore (Ps.pulse_response c ~vgs ~duration ~qfg:0.)
+    done
+
+let table o ~vgs = Option.bind (Pe.tables o) (Ps.table ~vgs)
 
 let with_counters f =
   Tel.reset ();
@@ -138,7 +144,6 @@ let assert_bit_identical msg a b =
      && Bool.equal a.Pe.saturated b.Pe.saturated)
 
 let test_out_of_box_bit_identity () =
-  with_build_after 0 @@ fun () ->
   with_counters @@ fun () ->
   let device = mk ~gcr:0.6 ~xto_nm:5. in
   (* three ways out of the box: bias, duration, device geometry *)
@@ -153,12 +158,15 @@ let test_out_of_box_bit_identity () =
   in
   List.iter
     (fun (msg, dev, pulse) ->
-       let on =
-         check_sok msg (Pe.apply_pulse ~warm_start:false dev ~qfg:0. pulse)
-       in
+       (* pre-warm at the case's own bias and duration: a gate that wrongly
+          let the pulse in would build and serve a table on the third
+          consult, the [on] pulse *)
+       let o = Pe.oracle dev in
+       prewarm o ~vgs:pulse.Pe.vgs ~duration:pulse.Pe.duration;
+       let on = check_sok msg (Pe.apply_pulse o ~qfg:0. pulse) in
        let off =
          check_sok msg
-           (Pe.apply_pulse ~warm_start:false ~surrogate:false dev ~qfg:0. pulse)
+           (Pe.apply_pulse (Pe.oracle ~surrogate:false dev) ~qfg:0. pulse)
        in
        assert_bit_identical (msg ^ ": bit-identical to exact") on off)
     cases;
@@ -167,26 +175,25 @@ let test_out_of_box_bit_identity () =
   Alcotest.(check int) "no hits out of box" 0 (Tel.counter_total "surrogate/hit")
 
 let test_out_of_range_charge_falls_back () =
-  with_build_after 0 @@ fun () ->
-  with_counters @@ fun () ->
   let device = mk ~gcr:0.6 ~xto_nm:5. in
+  let o = Pe.oracle device in
   let pulse = { Pe.vgs = 15.; duration = 100e-6 } in
+  prewarm o ~vgs:15. ~duration:100e-6;
+  with_counters @@ fun () ->
   (* prime the table, then query from a charge far outside its range *)
-  ignore (check_sok "prime" (Pe.apply_pulse ~warm_start:false device ~qfg:0. pulse));
+  ignore (check_sok "prime" (Pe.apply_pulse o ~qfg:0. pulse));
   let tab =
-    match Ps.cached device ~vgs:15. with
+    match table o ~vgs:15. with
     | Some t -> t
     | None -> Alcotest.fail "table not cached after priming"
   in
   let _, hi = Ps.qfg_range tab in
   let q_out = 3. *. hi in
   let hits0 = Tel.counter_total "surrogate/hit" in
-  let on =
-    check_sok "oob charge" (Pe.apply_pulse ~warm_start:false device ~qfg:q_out pulse)
-  in
+  let on = check_sok "oob charge" (Pe.apply_pulse o ~qfg:q_out pulse) in
   let off =
     check_sok "oob charge exact"
-      (Pe.apply_pulse ~warm_start:false ~surrogate:false device ~qfg:q_out pulse)
+      (Pe.apply_pulse (Pe.oracle ~surrogate:false device) ~qfg:q_out pulse)
   in
   assert_bit_identical "out-of-range charge is exact" on off;
   Alcotest.(check int) "no hit for out-of-range charge" hits0
@@ -235,19 +242,19 @@ let test_charge_range_edges_served () =
 let test_promotion_policy () =
   with_counters @@ fun () ->
   let device = mk ~gcr:0.6 ~xto_nm:5. in
+  let o = Pe.oracle device in
   let pulse = { Pe.vgs = 15.; duration = 100e-6 } in
-  (* default policy: first build_after requests fall back, the next builds *)
-  Alcotest.(check int) "default build_after" 2 (Ps.build_after ());
+  (* the policy: the first two requests fall back, the third builds *)
   let q = ref 0.123e-17 in
   for _ = 1 to 2 do
-    ignore (check_sok "cold" (Pe.apply_pulse ~warm_start:false device ~qfg:!q pulse));
+    ignore (check_sok "cold" (Pe.apply_pulse o ~qfg:!q pulse));
     q := !q +. 1e-19 (* distinct keys: exact replay must not mask the policy *)
   done;
   Alcotest.(check int) "no build before promotion" 0
     (Tel.counter_total "surrogate/build");
   Alcotest.(check int) "both pre-promotion pulses fell back" 2
     (Tel.counter_total "surrogate/fallback");
-  ignore (check_sok "promoted" (Pe.apply_pulse ~warm_start:false device ~qfg:!q pulse));
+  ignore (check_sok "promoted" (Pe.apply_pulse o ~qfg:!q pulse));
   Alcotest.(check int) "promotion built one table" 1
     (Tel.counter_total "surrogate/build");
   Alcotest.(check int) "and served the promoting pulse" 1
@@ -264,14 +271,13 @@ let test_promotion_policy () =
          (Tel.snapshot ()).Tel.spans)
 
 let test_opt_out_is_silent () =
-  with_build_after 0 @@ fun () ->
   with_counters @@ fun () ->
   let device = mk ~gcr:0.6 ~xto_nm:5. in
   let pulse = { Pe.vgs = 15.; duration = 100e-6 } in
+  (* one oracle: three consults would promote and build *)
+  let o = Pe.oracle ~surrogate:false device in
   for _ = 1 to 3 do
-    ignore
-      (check_sok "opt-out"
-         (Pe.apply_pulse ~warm_start:false ~surrogate:false device ~qfg:0. pulse))
+    ignore (check_sok "opt-out" (Pe.apply_pulse o ~qfg:0. pulse))
   done;
   Alcotest.(check int) "no hits" 0 (Tel.counter_total "surrogate/hit");
   Alcotest.(check int) "no fallbacks" 0 (Tel.counter_total "surrogate/fallback");
@@ -341,17 +347,16 @@ let corner_window_pins =
   ]
 
 let window ~surrogate dev =
-  let p =
-    check_sok "program" (Pe.program ~surrogate ~warm_start:false dev ~qfg:0.)
-  in
-  let e =
-    check_sok "erase"
-      (Pe.erase ~surrogate ~warm_start:false dev ~qfg:p.Pe.qfg_after)
-  in
+  let o = Pe.oracle ~surrogate dev in
+  if surrogate then begin
+    prewarm o ~vgs:Pe.default_program_pulse.Pe.vgs ~duration:1e-3;
+    prewarm o ~vgs:Pe.default_erase_pulse.Pe.vgs ~duration:1e-3
+  end;
+  let p = check_sok "program" (Pe.program o ~qfg:0.) in
+  let e = check_sok "erase" (Pe.erase o ~qfg:p.Pe.qfg_after) in
   p.Pe.dvt_after -. e.Pe.dvt_after
 
 let test_fig6_9_window_pins () =
-  with_build_after 0 @@ fun () ->
   List.iter
     (fun (gcr, xto_nm, pin) ->
        let dev = mk ~gcr ~xto_nm in
@@ -371,19 +376,20 @@ let test_fig6_9_window_pins () =
 (* ---------- composition with warm start, faults, parallelism ---------- *)
 
 let test_fault_plan_bypasses_surrogate () =
-  with_build_after 0 @@ fun () ->
-  with_counters @@ fun () ->
   let device = mk ~gcr:0.6 ~xto_nm:5. in
+  let o = Pe.oracle device in
   let pulse = { Pe.vgs = 15.; duration = 100e-6 } in
+  prewarm o ~vgs:15. ~duration:100e-6;
+  with_counters @@ fun () ->
   (* prime a table so a hit *would* be served without the plan *)
-  ignore (check_sok "prime" (Pe.apply_pulse device ~qfg:0. pulse));
+  ignore (check_sok "prime" (Pe.apply_pulse o ~qfg:0. pulse));
   check_true "primed" (Tel.counter_total "surrogate/hit" > 0);
   Tel.reset ();
   (* a plan with limit 0 never fires a fault, so the exact path runs clean —
      but its presence alone must force the exact solver *)
   let faulted =
     Fault.with_faults ~limit:0 (Fault.Nan_every 1_000_000) (fun () ->
-        check_sok "under plan" (Pe.apply_pulse device ~qfg:0. pulse))
+        check_sok "under plan" (Pe.apply_pulse o ~qfg:0. pulse))
   in
   Alcotest.(check int) "no surrogate hit under a fault plan" 0
     (Tel.counter_total "surrogate/hit");
@@ -392,14 +398,14 @@ let test_fault_plan_bypasses_surrogate () =
   check_true "exact solve actually ran" (Tel.counter_total "ode/rhs_eval" > 0);
   let clean =
     check_sok "clean exact"
-      (Pe.apply_pulse ~warm_start:false ~surrogate:false device ~qfg:0. pulse)
+      (Pe.apply_pulse (Pe.oracle ~surrogate:false device) ~qfg:0. pulse)
   in
   assert_bit_identical "plan-bypassed pulse is the exact answer" faulted clean
 
 let test_jobs_invariance () =
   (* a surrogate-served workload split across domains: each element builds
-     its own device and runs a short train; the per-domain caches and the
-     promotion policy must keep results bit-identical for any job count *)
+     its own device and oracle and runs a short train; the promotion
+     policy must keep results bit-identical for any job count *)
   let configs =
     Array.init 8 (fun i ->
         let gcr = 0.45 +. (0.15 *. float_of_int (i mod 4) /. 3.) in
@@ -408,11 +414,12 @@ let test_jobs_invariance () =
   in
   let run_one (gcr, xto_nm) =
     let dev = mk ~gcr ~xto_nm in
+    let o = Pe.oracle dev in
     let q = ref 0. in
     let out = ref [] in
     for k = 1 to 6 do
       let vgs = if k mod 2 = 1 then 15. else -15. in
-      match Pe.apply_pulse dev ~qfg:!q { Pe.vgs = vgs; duration = 100e-6 } with
+      match Pe.apply_pulse o ~qfg:!q { Pe.vgs = vgs; duration = 100e-6 } with
       | Ok o ->
         q := o.Pe.qfg_after;
         out := bits o.Pe.qfg_after :: !out

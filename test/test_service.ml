@@ -69,6 +69,37 @@ let test_determinism_across_instances () =
   check_true "different seed, different trace"
     (c.S.trace_digest <> a.S.trace_digest)
 
+(* Two services on the same device record must not see each other:
+   interleaving their commands op by op in one domain must give each the
+   trace and state digests it gets when run alone. *)
+let test_interleaving_independent () =
+  let n = 2 and ops = 2000 in
+  let fresh () = S.create F.paper_default in
+  let profile =
+    { W.default_profile with
+      W.pages = S.logical_pages (fresh ());
+      strings = S.default_config.S.strings;
+    }
+  in
+  let cmds =
+    Array.init n (fun i ->
+        W.generate_commands
+          ~seed:(Gnrflash_parallel.Sweep.splitmix ~seed:2014 ~index:i)
+          ~profile ~ops)
+  in
+  let digests (r : S.report) = (r.S.trace_digest, r.S.state_digest) in
+  let alone = Array.map (fun c -> digests (S.run (fresh ()) c)) cmds in
+  let services = Array.init n (fun _ -> fresh ()) in
+  for k = 0 to ops - 1 do
+    Array.iteri (fun i s -> S.exec s cmds.(i).(k)) services
+  done;
+  Array.iteri
+    (fun i s ->
+       let tr, st = digests (S.report s) and tr0, st0 = alone.(i) in
+       Alcotest.(check int) (Printf.sprintf "instance %d trace digest" i) tr0 tr;
+       Alcotest.(check int) (Printf.sprintf "instance %d state digest" i) st0 st)
+    services
+
 let test_suspend_exercised () =
   let s = mk () in
   let r =
@@ -155,6 +186,7 @@ let () =
           case "geometry" test_geometry;
           case "end to end trace" test_end_to_end_trace;
           case "determinism" test_determinism_across_instances;
+          case "interleaved instances independent" test_interleaving_independent;
           case "suspend exercised" test_suspend_exercised;
           case "device full accounted" test_device_full_is_accounted;
           case "single commands" test_exec_single_commands;

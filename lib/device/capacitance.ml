@@ -8,10 +8,10 @@ type t = {
   cfd : float;
 }
 
-let cfc_qty t = U.farad t.cfc
-let cfs_qty t = U.farad t.cfs
-let cfb_qty t = U.farad t.cfb
-let cfd_qty t = U.farad t.cfd
+let[@inline] cfc_qty t = U.farad t.cfc
+let[@inline] cfs_qty t = U.farad t.cfs
+let[@inline] cfb_qty t = U.farad t.cfb
+let[@inline] cfd_qty t = U.farad t.cfd
 
 let make_q ~cfc ~cfs ~cfb ~cfd =
   if U.(cfc <@ zero) || U.(cfs <@ zero) || U.(cfb <@ zero) || U.(cfd <@ zero) then
@@ -28,10 +28,10 @@ let make_q ~cfc ~cfs ~cfb ~cfd =
 let make ~cfc ~cfs ~cfb ~cfd =
   make_q ~cfc:(U.farad cfc) ~cfs:(U.farad cfs) ~cfb:(U.farad cfb) ~cfd:(U.farad cfd)
 
-let total_q t = U.(cfc_qty t +@ cfs_qty t +@ cfb_qty t +@ cfd_qty t)
-let total t = U.to_float (total_q t)
+let[@inline] total_q t = U.(cfc_qty t +@ cfs_qty t +@ cfb_qty t +@ cfd_qty t)
+let[@inline] total t = U.to_float (total_q t)
 
-let gcr t = U.ratio (cfc_qty t) (total_q t)
+let[@inline] gcr t = U.ratio (cfc_qty t) (total_q t)
 
 let of_gcr_q ~gcr ~cfc =
   if gcr <= 0. || gcr > 1. then invalid_arg "Capacitance.of_gcr: gcr out of (0, 1]";

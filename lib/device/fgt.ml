@@ -18,10 +18,10 @@ type t = {
    SiO2's 0.9 eV affinity reproduces that barrier. *)
 let paper_electrode = Wf.Custom ("paper-default", 4.1)
 
-let area_qty t = U.square_metre t.area
-let xto_qty t = U.metre t.xto
-let xco_qty t = U.metre t.xco
-let vs_qty t = U.volt t.vs
+let[@inline] area_qty t = U.square_metre t.area
+let[@inline] xto_qty t = U.metre t.xto
+let[@inline] xco_qty t = U.metre t.xco
+let[@inline] vs_qty t = U.volt t.vs
 
 let make_q ?(vs = U.volt 0.) ?(tunnel_oxide = Oxide.sio2) ?control_oxide
     ?(channel = paper_electrode) ?(gate = paper_electrode) ~gcr ~xto ~xco
@@ -63,25 +63,25 @@ let with_xto t xto =
   if xto <= 0. then invalid_arg "Fgt.with_xto: non-positive thickness";
   { t with xto }
 
-let gcr t = Capacitance.gcr t.caps
-let ct t = Capacitance.total t.caps
-let ct_qty t = Capacitance.total_q t.caps
+let[@inline] gcr t = Capacitance.gcr t.caps
+let[@inline] ct t = Capacitance.total t.caps
+let[@inline] ct_qty t = Capacitance.total_q t.caps
 
-let vfg_q t ~vgs ~qfg = U.(scale (gcr t) vgs +@ (qfg //@ ct_qty t))
+let[@inline] vfg_q t ~vgs ~qfg = U.(scale (gcr t) vgs +@ (qfg //@ ct_qty t))
 
 let vfg t ~vgs ~qfg = U.to_float (vfg_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
 
-let tunnel_field_q t ~vgs ~qfg = U.((vfg_q t ~vgs ~qfg -@ vs_qty t) /@ xto_qty t)
+let[@inline] tunnel_field_q t ~vgs ~qfg = U.((vfg_q t ~vgs ~qfg -@ vs_qty t) /@ xto_qty t)
 
 let tunnel_field t ~vgs ~qfg =
   U.to_float (tunnel_field_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
 
-let control_field_q t ~vgs ~qfg = U.((vgs -@ vfg_q t ~vgs ~qfg) /@ xco_qty t)
+let[@inline] control_field_q t ~vgs ~qfg = U.((vgs -@ vfg_q t ~vgs ~qfg) /@ xco_qty t)
 
 let control_field t ~vgs ~qfg =
   U.to_float (control_field_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
 
-let j_in_q t ~vgs ~qfg =
+let[@inline] j_in_q t ~vgs ~qfg =
   let et = tunnel_field_q t ~vgs ~qfg in
   let ec = control_field_q t ~vgs ~qfg in
   let from_channel =
@@ -95,7 +95,7 @@ let j_in_q t ~vgs ~qfg =
 
 let j_in t ~vgs ~qfg = U.to_float (j_in_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
 
-let j_out_q t ~vgs ~qfg =
+let[@inline] j_out_q t ~vgs ~qfg =
   let et = tunnel_field_q t ~vgs ~qfg in
   let ec = control_field_q t ~vgs ~qfg in
   let to_gate =
@@ -109,10 +109,10 @@ let j_out_q t ~vgs ~qfg =
 
 let j_out t ~vgs ~qfg = U.to_float (j_out_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
 
-let dqfg_dt_q t ~vgs ~qfg =
+let[@inline] dqfg_dt_q t ~vgs ~qfg =
   U.neg U.((j_in_q t ~vgs ~qfg -@ j_out_q t ~vgs ~qfg) *@ area_qty t)
 
-let dqfg_dt t ~vgs ~qfg = U.to_float (dqfg_dt_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
+let[@inline] dqfg_dt t ~vgs ~qfg = U.to_float (dqfg_dt_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
 
 let threshold_shift_q t ~qfg = U.(neg qfg //@ Capacitance.cfc_qty t.caps)
 

@@ -36,17 +36,24 @@ let paper_box =
 let gcr_slack = 1e-9
 let xto_slack = 1e-15
 
-let in_box ?(box = paper_box) t ~vgs ~duration =
-  let v = abs_float vgs in
+(* The box splits into a per-device half, fixed for a cache's lifetime,
+   and a per-pulse half. *)
+let device_in_box box t =
   let gcr = Fgt.gcr t in
-  v >= box.vgs_abs_min
-  && v <= box.vgs_abs_max
-  && gcr >= box.gcr_min -. gcr_slack
+  gcr >= box.gcr_min -. gcr_slack
   && gcr <= box.gcr_max +. gcr_slack
   && t.Fgt.xto >= box.xto_min -. xto_slack
   && t.Fgt.xto <= box.xto_max +. xto_slack
+
+let[@inline] bias_in_box box ~vgs ~duration =
+  let v = abs_float vgs in
+  v >= box.vgs_abs_min
+  && v <= box.vgs_abs_max
   && duration >= box.duration_min
   && duration <= box.duration_max
+
+let in_box ?(box = paper_box) t ~vgs ~duration =
+  bias_in_box box ~vgs ~duration && device_in_box box t
 
 (* ---------- tables ---------- *)
 
@@ -263,63 +270,97 @@ type slot =
   | Ready of t
   | Unusable  (* build failed for a non-budget reason; don't re-ask *)
 
+let max_tables = 32
+
+(* Settled slots sit in two flat columns scanned in order: a cache holds
+   few biases (one per pulse polarity in a served array), so a scan
+   comparing raw float bits beats hashing a boxed [Int64] key per
+   consult. *)
 type cache = {
   device : Fgt.t;
-  tables : (int64, slot) Hashtbl.t;
+  device_ok : bool;  (* [device] inside [paper_box]: fixed per cache *)
+  keys : float array;  (* vgs of slots [0, n), matched bit-exactly *)
+  slots : slot array;
+  mutable n : int;
   pending : (int64, int) Hashtbl.t;  (* promotion counters per vgs *)
 }
 
 let cache device =
-  { device; tables = Hashtbl.create 8; pending = Hashtbl.create 8 }
-
-let max_tables = 32
+  {
+    device;
+    device_ok = device_in_box paper_box device;
+    keys = Array.make max_tables 0.;
+    slots = Array.make max_tables Unusable;
+    n = 0;
+    pending = Hashtbl.create 8;
+  }
 
 (* Build only once a vgs has been asked for more than this many times: a
    Monte-Carlo sweep that touches each device once must not pay a build
    per sample. *)
 let consults_before_build = 2
 
-let table c ~vgs =
-  match Hashtbl.find_opt c.tables (Int64.bits_of_float vgs) with
-  | Some (Ready t) -> Some t
-  | Some Unusable | None -> None
+(* index of vgs's settled slot, or -1 *)
+let[@inline] find c vgs =
+  let bits = Int64.bits_of_float vgs in
+  let i = ref 0 in
+  while !i < c.n && Int64.bits_of_float (Array.unsafe_get c.keys !i) <> bits do
+    incr i
+  done;
+  if !i < c.n then !i else -1
 
-let settled c ~vgs = Hashtbl.mem c.tables (Int64.bits_of_float vgs)
+let served c i = match c.slots.(i) with Ready t -> Some t | Unusable -> None
+
+let table c ~vgs =
+  let i = find c vgs in
+  if i < 0 then None else served c i
+
+let settled c ~vgs = find c vgs >= 0
+
+let settle c vgs slot =
+  c.keys.(c.n) <- vgs;
+  c.slots.(c.n) <- slot;
+  c.n <- c.n + 1
+
+(* No settled slot for vgs yet: count the consult, and build on the one
+   past [consults_before_build]. *)
+let promote ?budget c ~vgs =
+  let key = Int64.bits_of_float vgs in
+  let asked = 1 + Option.value ~default:0 (Hashtbl.find_opt c.pending key) in
+  if asked <= consults_before_build then begin
+    Hashtbl.replace c.pending key asked;
+    None
+  end
+  else begin
+    Hashtbl.remove c.pending key;
+    if c.n >= max_tables then begin
+      Array.fill c.slots 0 c.n Unusable;
+      c.n <- 0
+    end;
+    match build ?budget c.device ~vgs with
+    | Ok t ->
+      settle c vgs (Ready t);
+      Some t
+    | Error { Err.kind = Err.Budget_exhausted _; _ } ->
+      (* transient starvation: leave the slot empty and retry on a
+         later, possibly better-funded, pulse *)
+      None
+    | Error e ->
+      Tel.count ("surrogate/unusable/" ^ Err.label e);
+      settle c vgs Unusable;
+      None
+  end
 
 let table_for ?budget c ~vgs =
-  let key = Int64.bits_of_float vgs in
-  match Hashtbl.find_opt c.tables key with
-  | Some (Ready t) -> Some t
-  | Some Unusable -> None
-  | None ->
-    let asked = 1 + Option.value ~default:0 (Hashtbl.find_opt c.pending key) in
-    if asked <= consults_before_build then begin
-      Hashtbl.replace c.pending key asked;
-      None
-    end
-    else begin
-      Hashtbl.remove c.pending key;
-      if Hashtbl.length c.tables >= max_tables then Hashtbl.reset c.tables;
-      match build ?budget c.device ~vgs with
-      | Ok t ->
-        Hashtbl.replace c.tables key (Ready t);
-        Some t
-      | Error { Err.kind = Err.Budget_exhausted _; _ } ->
-        (* transient starvation: leave the slot empty and retry on a
-           later, possibly better-funded, pulse *)
-        None
-      | Error e ->
-        Tel.count ("surrogate/unusable/" ^ Err.label e);
-        Hashtbl.replace c.tables key Unusable;
-        None
-    end
+  let i = find c vgs in
+  if i < 0 then promote ?budget c ~vgs else served c i
 
 let pulse_response ?budget c ~vgs ~duration ~qfg =
   let fallback () =
     Tel.count "surrogate/fallback";
     None
   in
-  if not (in_box c.device ~vgs ~duration) then fallback ()
+  if not (c.device_ok && bias_in_box paper_box ~vgs ~duration) then fallback ()
   else
     match table_for ?budget c ~vgs with
     | None -> fallback ()

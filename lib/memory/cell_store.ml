@@ -108,10 +108,17 @@ let memo () =
    never NaN — the solver returns a typed error instead). *)
 (* lint: allow L2 — exact bit equality is the point: the memo key must
    distinguish every distinct charge, an epsilon would alias entries *)
-let same_key k q = k = q && (k <> 0. || 1. /. k = 1. /. q)
+let[@inline] same_key k q = k = q && (k <> 0. || 1. /. k = 1. /. q)
 
-let find_slot m q =
-  let i = ref (Hashtbl.hash q land m.m_mask) in
+(* Home slot of a charge: its IEEE bits through a multiply-xorshift mix,
+   computed unboxed (no C hash call on a boxed float). Only where a key
+   sits depends on it; a probe still matches keys bit-exactly. *)
+let[@inline] home_slot m q =
+  let h = Int64.to_int (Int64.bits_of_float q) * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 32)) land m.m_mask
+
+let[@inline] find_slot m q =
+  let i = ref (home_slot m q) in
   while
     Bytes.unsafe_get m.m_occ !i <> '\000'
     && not (same_key (Array.unsafe_get m.m_keys !i) q)

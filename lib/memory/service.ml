@@ -332,9 +332,12 @@ let percentile sorted p =
   if n = 0 then 0.
   else sorted.(min (n - 1) (int_of_float ((p *. float_of_int (n - 1)) +. 0.5)))
 
+(* The monomorphic float sort and the summing loop below leave exactly
+   what [Array.sort compare] and [Array.fold_left ( +. )] would, without
+   boxing each latency they touch. *)
 let latencies s =
   let lats = Array.sub s.lat_buf 0 s.lat_len in
-  Array.sort compare lats;
+  Gnrflash_numerics.Stats.sort_in_place lats;
   lats
 
 (* Stable k-way merge of sorted per-instance distributions, walking the
@@ -359,12 +362,17 @@ let merge_latencies sorted =
   done;
   if total = 0 then [||] else Array.sub out 0 total
 
-let latency_summary s =
-  let lats = latencies s in
+let summarize lats =
   let n = Array.length lats in
   let mean =
     if n = 0 then 0.
-    else Array.fold_left ( +. ) 0. lats /. float_of_int n
+    else begin
+      let sum = ref 0. in
+      for i = 0 to n - 1 do
+        sum := !sum +. lats.(i)
+      done;
+      !sum /. float_of_int n
+    end
   in
   {
     mean;
@@ -373,6 +381,8 @@ let latency_summary s =
     p99 = percentile lats 0.99;
     max = (if n = 0 then 0. else lats.(n - 1));
   }
+
+let latency_summary s = summarize (latencies s)
 
 let verify_scan s =
   let mismatches = ref 0 in

@@ -91,6 +91,11 @@ val latencies : t -> float array
     lets a fleet driver merge per-instance distributions before taking
     percentiles. *)
 
+val summarize : float array -> latency_summary
+(** Summary of an ascending-sorted latency array such as {!latencies}
+    returns: the mean (summed in order), nearest-rank p50/p95/p99 and
+    the max; all zero for an empty array. *)
+
 val merge_latencies : float array list -> float array
 (** Stable k-way merge of sorted per-instance latency arrays, in the
     order given (ties resolve to the earlier instance): the one

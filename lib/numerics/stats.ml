@@ -23,9 +23,73 @@ let min_max xs =
     (fun (lo, hi) x -> (min lo x, max hi x))
     (xs.(0), xs.(0)) xs
 
+(* Stdlib's ternary heap sort (the algorithm behind [Array.sort]),
+   specialised to [float array] with [Float.compare] — polymorphic
+   [compare]'s order on floats. It makes the same comparisons and moves,
+   so ties (-0. against 0., NaNs) land where [Array.sort compare] puts
+   them, but no element is boxed on the way. *)
+let sort_in_place a =
+  let l = Array.length a in
+  (* largest of node i's up-to-three children below [l], or -1 if none *)
+  let maxson l i =
+    let c = (3 * i) + 1 in
+    if c + 2 < l then begin
+      let x = if Float.compare a.(c) a.(c + 1) < 0 then c + 1 else c in
+      if Float.compare a.(x) a.(c + 2) < 0 then c + 2 else x
+    end
+    else if c + 1 < l && Float.compare a.(c) a.(c + 1) < 0 then c + 1
+    else if c < l then c
+    else -1
+  in
+  (* heapify: sift each inner node's element down *)
+  for i0 = ((l + 1) / 3) - 1 downto 0 do
+    let e = a.(i0) in
+    let i = ref i0 and j = ref (maxson l i0) in
+    while !j >= 0 && Float.compare a.(!j) e > 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson l !j
+    done;
+    a.(!i) <- e
+  done;
+  for n = l - 1 downto 2 do
+    (* move the root out, pull the larger child up along one path to a
+       leaf of the shrunk heap, then sift the displaced element up from
+       that leaf *)
+    let e = a.(n) in
+    a.(n) <- a.(0);
+    let i = ref 0 and j = ref (maxson n 0) in
+    while !j >= 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson n !j
+    done;
+    let fin = ref false in
+    while not !fin do
+      let father = (!i - 1) / 3 in
+      if Float.compare a.(father) e < 0 then begin
+        a.(!i) <- a.(father);
+        if father > 0 then i := father
+        else begin
+          a.(0) <- e;
+          fin := true
+        end
+      end
+      else begin
+        a.(!i) <- e;
+        fin := true
+      end
+    done
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 let sorted xs =
   let ys = Array.copy xs in
-  Array.sort compare ys;
+  sort_in_place ys;
   ys
 
 let median xs =

@@ -13,6 +13,11 @@ val std : float array -> float
 val min_max : float array -> float * float
 (** Smallest and largest element. *)
 
+val sort_in_place : float array -> unit
+(** Sorts ascending in place, leaving exactly the array [Array.sort compare]
+    leaves (same algorithm and comparisons, so equal-comparing [-0.]/[0.]
+    and NaNs land in the same slots), without boxing any element. *)
+
 val median : float array -> float
 (** Median (average of the two central elements for even length). *)
 

@@ -1,8 +1,10 @@
 (* The whole module is identities over float: ['d qty = float] here,
-   [private float] in the interface, so every constructor/accessor
-   disappears at compile time and the checked operators compile to the
-   same IEEE op as the raw-float code they replace (bit-identical
-   results, enforced by the golden qcheck properties in the test suite). *)
+   [private float] in the interface. Compiled without [-opaque] (the
+   default [release] profile), every constructor/accessor inlines away
+   and the checked operators compile to the same IEEE op as the
+   raw-float code they replace; under [-opaque] (dune's dev profile) each
+   is a boxed cross-module call. Results are bit-identical either way
+   (golden qcheck properties in the test suite). *)
 
 type 'd qty = float
 

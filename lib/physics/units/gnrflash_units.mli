@@ -1,10 +1,13 @@
-(** Zero-cost dimensioned floats for the FN / floating-gate pipeline.
+(** Dimensioned floats for the FN / floating-gate pipeline.
 
     A [('d) qty] is a [private float] carrying a phantom dimension ['d]:
-    it compiles to an unboxed [float] (constructors and accessors are
-    identities), so threading it through the physics hot path costs
-    nothing at runtime — but mixing dimensions is a type error at
-    [dune build] time.
+    constructors and accessors are identities and every operator is one
+    IEEE op, so mixing dimensions is a type error at [dune build] time
+    while the values stay plain floats. "Zero cost" holds only when this
+    module and its callers are compiled without [-opaque] (the repo's
+    default [release] profile): then the identities and operators inline
+    into the caller. Under [--profile dev] each one is a real
+    cross-module call that boxes its float arguments and result.
 
     The dimension algebra is deliberately small. Base dimensions are
     abstract types; derived dimensions are [( 'num, 'den ) per] pairs, so

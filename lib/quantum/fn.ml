@@ -10,8 +10,8 @@ type params = {
   m_ox_rel : float;
 }
 
-let a_qty p = U.fn_a p.a
-let b_qty p = U.v_per_m p.b
+let[@inline] a_qty p = U.fn_a p.a
+let[@inline] b_qty p = U.v_per_m p.b
 
 let coefficients_q ~phi_b ~m_ox_rel =
   if U.(phi_b <=@ zero) then invalid_arg "Fn.coefficients: phi_b <= 0";
@@ -29,7 +29,7 @@ let of_interface electrode oxide =
   if phi_b_ev <= 0. then invalid_arg "Fn.of_interface: non-positive barrier";
   coefficients ~phi_b_ev ~m_ox_rel:oxide.Gnrflash_materials.Oxide.m_ox
 
-let current_density_q p ~field =
+let[@inline] current_density_q p ~field =
   if U.(field <=@ zero) then U.a_per_m2 0.
   else
     let quad = U.(a_qty p *@ field *@ field) in

@@ -265,6 +265,29 @@ let test_memo_replays_distinct_charges () =
   check_true "same start, same wear" (same_f (S.fluence s 0) (S.fluence s 1));
   check_true "distinct start, distinct end" (not (same_f (S.qfg s 0) (S.qfg s 2)))
 
+(* A memo hit replays a pulse straight from the flat columns: 10^4 hits
+   must not allocate a single minor-heap word, in any build profile. One
+   cell's surrogate-served response is memoized (the first two consults
+   of the bias fall back to exact solves, the third builds the table),
+   then 10^4 cells at the same starting charge replay it. *)
+let test_memo_hit_allocation_free () =
+  let hits = 10_000 in
+  let s = S.create ~n:(hits + 3) (fresh_device ()) in
+  let m = S.memo () in
+  for i = 0 to 2 do
+    check_ok "warm-up pulse" (S.apply_pulse_at s ~memo:m ~pulse:prog_pulse i)
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 3 to hits + 2 do
+    match S.apply_pulse_at s ~memo:m ~pulse:prog_pulse i with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words over 10^4 hits" 0. words;
+  check_true "hits replay the memoized outcome"
+    (same_f (S.qfg s 2) (S.qfg s (hits + 2)))
+
 let () =
   Alcotest.run "cell_store"
     [
@@ -276,6 +299,7 @@ let () =
           case "range = per-cell loop" test_range_equals_per_cell_loop;
           case "range stops at broken cell" test_range_stops_at_broken;
           case "memo keys per distinct charge" test_memo_replays_distinct_charges;
+          case "memo hit allocates nothing" test_memo_hit_allocation_free;
           prop_side_by_side_inbox;
           prop_side_by_side_exact;
         ] );

@@ -178,6 +178,46 @@ let prop_no_op_lost =
        && r.S.invariant_error = None
        && r.S.reads + r.S.writes + r.S.rejected_full + r.S.trims = r.S.ops)
 
+(* The report's sort and summary against the boxed path they replaced:
+   [Array.sort compare] then [Array.fold_left ( +. )] and nearest-rank
+   percentiles. Arrays mix ties, both zeros and NaNs, so any departure
+   from the stdlib heap sort's comparison order shows up in the bits. *)
+let prop_latency_summary_bit_identical =
+  let elt =
+    QCheck2.Gen.(
+      frequency
+        [
+          (2, return 0.);
+          (1, return (-0.));
+          (1, return nan);
+          (3, oneofl [ 1e-6; 1e-3; 2.5e-3; 1e-3 ]);
+          (4, float_range 0. 1e-2);
+        ])
+  in
+  prop "float sort and summary match Array.sort compare" ~count:300
+    QCheck2.Gen.(array_size (int_range 0 200) elt)
+    (fun xs ->
+       let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+       let ref_sorted = Array.copy xs in
+       Array.sort compare ref_sorted;
+       let sorted = Array.copy xs in
+       Gnrflash_numerics.Stats.sort_in_place sorted;
+       let n = Array.length xs in
+       let pct p =
+         if n = 0 then 0.
+         else ref_sorted.(min (n - 1) (int_of_float ((p *. float_of_int (n - 1)) +. 0.5)))
+       in
+       let mean =
+         if n = 0 then 0. else Array.fold_left ( +. ) 0. ref_sorted /. float_of_int n
+       in
+       let sum = S.summarize sorted in
+       Array.for_all2 same ref_sorted sorted
+       && same sum.S.mean mean
+       && same sum.S.p50 (pct 0.50)
+       && same sum.S.p95 (pct 0.95)
+       && same sum.S.p99 (pct 0.99)
+       && same sum.S.max (if n = 0 then 0. else ref_sorted.(n - 1)))
+
 let () =
   Alcotest.run "service"
     [
@@ -192,5 +232,6 @@ let () =
           case "single commands" test_exec_single_commands;
           case "disturb feedback threaded" test_disturb_feedback_threaded;
           prop_no_op_lost;
+          prop_latency_summary_bit_identical;
         ] );
     ]
